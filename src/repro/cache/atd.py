@@ -39,9 +39,8 @@ class AuxiliaryTagDirectory:
         # space (simple static set sampling).  Membership is the pure
         # arithmetic test ``index % stride == 0 and index // stride <
         # sampled_sets``; it is materialised once into a dense slot table so
-        # the per-access hot path (here and inlined in
-        # repro.mem.hierarchy._shared_access) is a single branch-free list
-        # index instead of a hash lookup.
+        # the per-access lookup is a single branch-free list index instead of
+        # a hash lookup.
         stride = max(1, self.num_llc_sets // self.sampled_sets)
         self._stride = stride
         self._slot_by_set = [-1] * self.num_llc_sets
@@ -101,39 +100,51 @@ class AuxiliaryTagDirectory:
         Returns True for an ATD hit, False for an ATD miss and None when the
         address does not map to a sampled set (in which case no state changes).
         """
+        position = self.lookup(address)
+        if position is None:
+            return None
+        return self.record(position)
+
+    def lookup(self, address: int) -> int | None:
+        """Update the LRU stack for one access, leaving the statistics alone.
+
+        Returns the hit's stack position, -1 for a miss, or None when the
+        address maps to an unsampled set.  The stacks see only this core's
+        accesses in program order, so the simulation replays them once per
+        trace (:mod:`repro.mem.frontend`) and applies the statistics with
+        :meth:`record` during each run, where partitioning policies reset
+        them at timing-dependent moments.
+        """
         mask = self._set_mask
         if mask is not None:
-            index = (address >> self._line_shift) & mask
-        else:
-            index = (address // self.line_bytes) % self.num_llc_sets
-        stack = self.stack_for(index)
-        if stack is None:
-            return None
-        if mask is not None:
+            stack = self.stack_for((address >> self._line_shift) & mask)
+            if stack is None:
+                return None
             tag = address >> self._tag_shift
         else:
+            stack = self.stack_for((address // self.line_bytes) % self.num_llc_sets)
+            if stack is None:
+                return None
             tag = address // (self.line_bytes * self.num_llc_sets)
-        return self.access_sampled(stack, tag)
-
-    def access_sampled(self, stack: list[int], tag: int) -> bool:
-        """Record one access already known to map to the sampled ``stack``.
-
-        Hot-path entry point: the memory hierarchy computes the set index and
-        tag once (they are shared with the LLC lookup) and calls this only for
-        sampled sets.
-        """
-        self.sampled_accesses += 1
         try:
             position = stack.index(tag)
         except ValueError:
-            self.sampled_misses += 1
             stack.insert(0, tag)
             if len(stack) > self.associativity:
                 stack.pop()
-            return False
-        self.hit_position_histogram[position] += 1
+            return -1
         del stack[position]
         stack.insert(0, tag)
+        return position
+
+    def record(self, position: int) -> bool:
+        """Count one sampled access that :meth:`lookup` resolved to ``position``
+        (-1 for a miss) in the statistics; returns True for a hit."""
+        self.sampled_accesses += 1
+        if position < 0:
+            self.sampled_misses += 1
+            return False
+        self.hit_position_histogram[position] += 1
         return True
 
     def would_hit(self, address: int) -> bool | None:

@@ -13,6 +13,11 @@ paper's accounting techniques depend on without cycle-stepping:
   commit of instruction *i - ROB_entries*;
 * MSHR limits via the memory hierarchy.
 
+Private-cache outcomes come from the trace's memory-path front end
+(:mod:`repro.mem.frontend`), replayed once per trace: L1-hit loads complete
+inline, L1-hit stores need no memory work at all, and only L1 misses enter the
+hierarchy's timing-dependent back end.
+
 The core records the event stream (L1-miss loads, commit stalls) that the
 accounting layer replays, and buckets statistics per estimate interval.
 
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 from repro.cpu.events import CommitStall, IntervalStats, LoadRecord, StallCause, annotate_overlap
 from repro.errors import SimulationError
+from repro.mem.frontend import L1_HIT, front_end
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.config import CMPConfig
 from repro.workloads.trace import InstrKind, Trace
@@ -78,6 +84,7 @@ class OutOfOrderCore:
             interval_instructions or config.accounting.estimate_interval_instructions
         )
         self.epoch_cycles = config.accounting.asm_epoch_cycles
+        self._front_end = front_end(trace, config, self.target_instructions)
 
         width = config.core.width
         self._dispatch_interval = 1.0 / width
@@ -166,8 +173,12 @@ class OutOfOrderCore:
         epoch_cycles = self.epoch_cycles
         core_id = self.core_id
         hierarchy = self.hierarchy
-        load_fast = hierarchy.load_fast
-        store_fast = hierarchy.store_fast
+        load_miss = hierarchy.load_miss
+        store_miss = hierarchy.store_miss
+        l1_latency = self.config.l1d.latency
+        counters = hierarchy.counters[core_id]
+        codes = self._front_end.codes
+        l1_hit = L1_HIT
         ring_size = self._dep_ring_size
         ring_position = self._dep_ring_position
         ring_completion = self._dep_ring_completion
@@ -215,9 +226,11 @@ class OutOfOrderCore:
                 else:
                     ready = dispatch + compute_latency
             elif kind == kind_store:
-                # The store buffer hides store latency from commit; the access
-                # still updates cache state through the hierarchy.
-                store_fast(core_id, addresses[trace_offset], dispatch)
+                # The store buffer hides store latency from commit; an L1 miss
+                # still allocates in the shared LLC through the hierarchy.
+                code = codes[position]
+                if code != l1_hit:
+                    store_miss(core_id, addresses[trace_offset], code)
                 ready = dispatch + compute_latency
             else:  # load
                 address = addresses[trace_offset]
@@ -241,32 +254,25 @@ class OutOfOrderCore:
                                 dep_completion = ring_completion[slot]
                                 if dep_completion > issue:
                                     issue = dep_completion
-                ready, info = load_fast(core_id, address, issue)
+                code = codes[position]
+                record = None
+                if code == l1_hit:
+                    # L1 hits never enter the PRB and cannot cause visible
+                    # SMS stalls.
+                    ready = issue + l1_latency
+                    counters.pms_loads += 1
+                    sms_load = False
+                else:
+                    ready, info = load_miss(core_id, address, issue, code)
+                    sms_load = info[0]
+                    if recording:
+                        is_sms, latency, interference, llc_hit, interference_miss = info
+                        record = LoadRecord(position, address, issue, ready, is_sms, latency,
+                                            interference, llc_hit, interference_miss)
+                        interval_loads.append(record)
                 slot = position % ring_size
                 ring_position[slot] = position
                 ring_completion[slot] = ready
-                if info is None:
-                    # L1 hits never enter the PRB and cannot cause visible
-                    # SMS stalls.
-                    record = None
-                    sms_load = False
-                else:
-                    sms_load = info[0]
-                    record = None
-                    if recording:
-                        is_sms, latency, interference, llc_hit, interference_miss = info
-                        record = LoadRecord(
-                            instr_index=position,
-                            address=address,
-                            issue_time=issue,
-                            completion_time=ready,
-                            is_sms=is_sms,
-                            latency=latency,
-                            interference_cycles=interference,
-                            llc_hit=llc_hit,
-                            interference_miss=interference_miss,
-                        )
-                        interval_loads.append(record)
 
             # ---- commit (in-order, at the pipeline width)
             earliest = last_commit + commit_interval
@@ -299,14 +305,12 @@ class OutOfOrderCore:
                     buckets = interval.epoch_stall_cycles
                     buckets[stall_epoch] = buckets.get(stall_epoch, 0.0) + gap
                     if recording:
-                        interval_stalls.append(CommitStall(
-                            start=earliest,
-                            end=commit_time,
-                            cause=cause,
-                            load_address=stall_record.address if stall_record is not None else None,
-                            load_is_sms=stall_record.is_sms if stall_record is not None else False,
-                        ))
-                        if stall_record is not None:
+                        if stall_record is None:
+                            interval_stalls.append(CommitStall(earliest, commit_time, cause))
+                        else:
+                            interval_stalls.append(CommitStall(
+                                earliest, commit_time, cause,
+                                stall_record.address, stall_record.is_sms))
                             stall_record.caused_stall = True
                             stall_record.stall_start = earliest
                             stall_record.stall_end = commit_time
@@ -439,6 +443,7 @@ class OutOfOrderCore:
             interval.sampled_llc_misses = counters.sampled_llc_misses
             annotate_overlap(interval.loads, interval.stalls)
             self.intervals.append(interval)
+        self.hierarchy.credit_front_end(self.core_id, self._front_end)
         self.finished = True
 
     # ------------------------------------------------------------------ aggregate statistics

@@ -53,7 +53,7 @@ class LoadRecord:
         return max(0.0, self.stall_end - self.stall_start) if self.caused_stall else 0.0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CommitStall:
     """A period during which the core committed no instructions."""
 

@@ -5,6 +5,14 @@ cores issue requests into the same LLC, ring and memory controller; in private
 mode a single core has exclusive access.  Each access returns a
 :class:`MemoryAccessResult` with the latency breakdown and the interference
 attribution the accounting techniques consume.
+
+Each access has a trace-deterministic front end -- the private L1/L2 lookups
+and the ATD stack update, which depend only on the core's own accesses in
+program order -- and a timing-dependent back end: MSHRs, ring, LLC, DRAM and
+the ATD statistics.  :meth:`MemoryHierarchy.access` runs both; the simulation
+kernel replays the front end once per trace (:mod:`repro.mem.frontend`) and
+calls the back end (:meth:`~MemoryHierarchy.load_miss`,
+:meth:`~MemoryHierarchy.store_miss`) with the recorded outcome codes.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from repro.cache.mshr import MSHRFile
 from repro.dram.controller import MemoryController
 from repro.errors import ConfigurationError
 from repro.interconnect.ring import RingInterconnect
+from repro.mem.frontend import ATD_HIT, L1_HIT, L2_HIT, UNSAMPLED, FrontEnd, private_outcome
 from repro.mem.request import MemoryAccessResult
 from repro.config import CMPConfig
 
@@ -116,10 +125,6 @@ class MemoryHierarchy:
         self._llc_set_mask = self.llc._set_mask
         self._llc_tag_shift = self.llc._tag_shift
         self._llc_banks = config.llc.banks
-        # ATD set-sampling geometry is identical across cores (same LLC
-        # config), so one ATD's precomputed set->slot table serves the
-        # inlined membership lookup in _shared_access.
-        self._atd_slot_by_set = next(iter(self.atds.values()))._slot_by_set
         # With one active core the shadow (core-alone) schedules are provably
         # identical to the real schedules, so interference is exactly zero
         # and the shadow emulation can be skipped wholesale.
@@ -135,34 +140,9 @@ class MemoryHierarchy:
             self.llc.associativity,
         )
         self._last_shared_access = (0.0, 0.0, False)
-        # Per-core hot-path state bundled into one tuple so load_fast pays a
-        # single dict lookup instead of five.  The private L1/L2 lookups are
-        # inlined at array level (they are never partitioned, so the plain
-        # LRU path below is their complete behaviour — pinned by
-        # tests/test_kernel_equivalence.py); each cache contributes its flat
-        # arrays and geometry.
-        def _kernel_state(cache: SetAssociativeCache):
-            return (
-                cache,
-                cache._tags,
-                cache._last_use,
-                cache._set_sizes,
-                cache._owners,
-                cache._core_occupancy,
-                cache._line_shift,
-                cache._set_mask,
-                cache._tag_shift,
-                cache.associativity,
-            )
-
-        self._fast_state = {
-            core: (
-                _kernel_state(self.l1[core]),
-                _kernel_state(self.l2[core]),
-                self.l1_mshrs[core],
-                self.counters[core],
-            )
-            for core in self.active_cores
+        # Per-core back-end state bundled so load_miss pays one dict lookup.
+        self._miss_state = {
+            core: (self.l1_mshrs[core], self.counters[core]) for core in self.active_cores
         }
 
     # ------------------------------------------------------------------ configuration
@@ -185,37 +165,43 @@ class MemoryHierarchy:
         buffer hides their latency from commit (the paper treats store-related
         stalls as one of the rare "other" stall sources).
 
-        This is the descriptive API: it always materialises a
-        :class:`MemoryAccessResult`.  The simulation kernel uses the leaner
-        :meth:`load_fast`/:meth:`store_fast` entry points, which share the
-        same underlying logic.
+        This is the descriptive API: it looks the access up in this
+        hierarchy's own L1, L2 and ATD and always materialises a
+        :class:`MemoryAccessResult`.  The simulation kernel instead reads the
+        front-end outcome replayed once per trace and calls the same back end
+        (:meth:`load_miss`/:meth:`store_miss`) directly, so the two should not
+        be mixed on one core.
         """
         if core not in self.l1:
             raise ConfigurationError(f"core {core} is not active in this hierarchy")
+        code = private_outcome(self.l1[core], self.l2[core], self.atds[core],
+                               address, is_store, core)
         if is_store:
-            l1_hit = self.store_fast(core, address, issue_time)
+            if code != L1_HIT:
+                self.store_miss(core, address, code)
             return MemoryAccessResult(
                 address=address,
                 core=core,
                 issue_time=issue_time,
                 completion_time=issue_time + self._l1_latency,
                 is_sms=False,
-                l1_hit=l1_hit,
+                l1_hit=code == L1_HIT,
                 l2_hit=False,
                 llc_hit=False,
             )
-        completion, info = self.load_fast(core, address, issue_time)
-        if info is None:
+        if code == L1_HIT:
+            self.counters[core].pms_loads += 1
             return MemoryAccessResult(
                 address=address,
                 core=core,
                 issue_time=issue_time,
-                completion_time=completion,
+                completion_time=issue_time + self._l1_latency,
                 is_sms=False,
                 l1_hit=True,
                 l2_hit=False,
                 llc_hit=False,
             )
+        completion, info = self.load_miss(core, address, issue_time, code)
         is_sms, _latency, interference, llc_hit, interference_miss = info
         if not is_sms:
             return MemoryAccessResult(
@@ -245,82 +231,28 @@ class MemoryHierarchy:
             row_hit=shared[2],
         )
 
-    def store_fast(self, core: int, address: int, issue_time: float) -> bool:
-        """Hot-path store: update cache state, return the L1 hit flag.
+    def store_miss(self, core: int, address: int, code: int) -> None:
+        """Back end of a store that missed the L1 (front-end outcome ``code``).
 
-        The store buffer hides store latency from commit, so callers on the
-        simulation hot path need no timing result at all.
+        The line is still allocated in the LLC for footprint realism, but the
+        store buffer hides its latency, so there is no timing result.
         """
-        if self.l1[core].access_hit(address, core, True):
-            return True
-        # A store miss still allocates in L2/LLC for footprint realism,
-        # but its latency is hidden by the store buffer.
-        self._fill_lower_levels(core, address, is_store=True)
-        return False
+        if code > UNSAMPLED:
+            self.atds[core].record(code - ATD_HIT)
+        self.llc.access_hit(address, core, True)
 
-    def load_fast(self, core: int, address: int, issue_time: float):
-        """Hot-path load: returns ``(completion_time, info)``.
+    def load_miss(self, core: int, address: int, issue_time: float, code: int):
+        """Back end of a load that missed the L1 (front-end outcome ``code``):
+        returns ``(completion_time, info)``.
 
-        ``info`` is None for an L1 hit; otherwise it is the tuple
-        ``(is_sms, latency, interference_cycles, llc_hit, interference_miss)``
-        the core model needs to build its :class:`LoadRecord`.
+        ``info`` is the tuple ``(is_sms, latency, interference_cycles,
+        llc_hit, interference_miss)`` the core model needs to build its
+        :class:`LoadRecord`.
         """
-        l1_state, l2_state, mshr, counters = self._fast_state[core]
-        l1_latency = self._l1_latency
-
-        # L1 lookup, inlined at array level (plain LRU, never partitioned).
-        (cache, tags, last_use, set_sizes, owners, occupancy_counts,
-         line_shift, set_mask, tag_shift, assoc) = l1_state
-        counter = cache._use_counter + 1
-        cache._use_counter = counter
-        if set_mask is not None:
-            index = (address >> line_shift) & set_mask
-            tag = address >> tag_shift
-        else:
-            index = cache.set_index(address)
-            tag = cache.tag(address)
-        base = index * assoc
-        size = set_sizes[index]
-        slot = -1
-        if assoc == 2:
-            if size != 0:
-                if tags[base] == tag:
-                    slot = base
-                elif size == 2 and tags[base + 1] == tag:
-                    slot = base + 1
-        else:
-            segment = tags[base:base + size]
-            if tag in segment:
-                slot = base + segment.index(tag)
-        if slot >= 0:
-            last_use[slot] = counter
-            cache.hits += 1
-            counters.pms_loads += 1
-            return issue_time + l1_latency, None
-        cache.misses += 1
-        if size < assoc:
-            slot = base + size
-            set_sizes[index] = size + 1
-        else:
-            if assoc == 2:
-                slot = base if last_use[base] <= last_use[base + 1] else base + 1
-            else:
-                ages = last_use[base:base + assoc]
-                slot = base + ages.index(min(ages))
-            occupancy_counts[owners[slot]] -= 1
-        try:
-            occupancy_counts[core] += 1
-        except IndexError:
-            occupancy_counts.extend([0] * (core + 1 - len(occupancy_counts)))
-            occupancy_counts[core] += 1
-        tags[slot] = tag
-        owners[slot] = core
-        last_use[slot] = counter
-        cache._dirty[slot] = False
-
-        # L1 load miss: allocate an MSHR (may stall the request if all in
-        # use).  The MSHR file's acquire/allocate pair is inlined here — this
-        # runs once per L1 miss and the method-call overhead is measurable.
+        mshr, counters = self._miss_state[core]
+        # Allocate an MSHR (may stall the request if all are in use).  The
+        # MSHR file's acquire/allocate pair is inlined here -- this runs once
+        # per L1 miss and the method-call overhead is measurable.
         outstanding = mshr._outstanding
         while outstanding and outstanding[0][0] <= issue_time:
             _heappop(outstanding)
@@ -329,73 +261,29 @@ class MemoryHierarchy:
         else:
             earliest = outstanding[0][0]
             effective_issue = earliest if earliest > issue_time else issue_time
-
-        # L2 lookup, same inlined plain-LRU path.
-        (cache, tags, last_use, set_sizes, owners, occupancy_counts,
-         line_shift, set_mask, tag_shift, assoc) = l2_state
-        counter = cache._use_counter + 1
-        cache._use_counter = counter
-        if set_mask is not None:
-            index = (address >> line_shift) & set_mask
-            tag = address >> tag_shift
-        else:
-            index = cache.set_index(address)
-            tag = cache.tag(address)
-        base = index * assoc
-        size = set_sizes[index]
-        slot = -1
-        segment = tags[base:base + size]
-        if tag in segment:
-            slot = base + segment.index(tag)
-        if slot >= 0:
-            last_use[slot] = counter
-            cache.hits += 1
-            l2_hit = True
-        else:
-            cache.misses += 1
-            if size < assoc:
-                slot = base + size
-                set_sizes[index] = size + 1
-            else:
-                ages = last_use[base:base + assoc]
-                slot = base + ages.index(min(ages))
-                occupancy_counts[owners[slot]] -= 1
-            try:
-                occupancy_counts[core] += 1
-            except IndexError:
-                occupancy_counts.extend([0] * (core + 1 - len(occupancy_counts)))
-                occupancy_counts[core] += 1
-            tags[slot] = tag
-            owners[slot] = core
-            last_use[slot] = counter
-            cache._dirty[slot] = False
-            l2_hit = False
-
-        if l2_hit:
-            completion = effective_issue + l1_latency + self._l2_latency
+        ready = effective_issue + self._l1_latency + self._l2_latency
+        if code == L2_HIT:
+            completion = ready
+            counters.pms_loads += 1
+            info = (False, completion - issue_time, 0.0, False, None)
         else:
             # The request leaves the private memory system: it is an SMS-load.
             completion, interference, llc_hit, interference_miss = self._shared_access(
-                core, address, effective_issue + l1_latency + self._l2_latency, issue_time
+                core, address, ready, issue_time, code
             )
-            if len(outstanding) >= mshr.entries:
-                _heappop(outstanding)
-            _heappush(outstanding, (completion, address))
-            return completion, (True, completion - issue_time, interference, llc_hit,
-                                interference_miss)
+            info = (True, completion - issue_time, interference, llc_hit, interference_miss)
         if len(outstanding) >= mshr.entries:
             _heappop(outstanding)
         _heappush(outstanding, (completion, address))
-        counters.pms_loads += 1
-        return completion, (False, completion - issue_time, 0.0, False, None)
+        return completion, info
 
     def _shared_access(self, core: int, address: int, ready_for_ring: float,
-                       original_issue: float):
+                       original_issue: float, code: int):
         counters = self.counters[core]
         ring = self.ring
         llc = self.llc
-        # The LLC set index is shared between the bank mapping and the ATD
-        # lookup (same geometry); compute it once with the hoisted shift/mask.
+        # The LLC set index is shared between the bank mapping and the LLC
+        # lookup; compute it once with the hoisted shift/mask.
         mask = self._llc_set_mask
         if mask is not None:
             set_index = (address >> self._llc_line_shift) & mask
@@ -433,25 +321,21 @@ class MemoryHierarchy:
             ring.per_core_interference_cycles[core] += interference
         llc_ready = start + hop_latency
 
-        # The ATD shares the LLC's geometry, so the tag is computed once.
         if mask is not None:
             tag = address >> self._llc_tag_shift
         else:
             tag = llc.tag(address)
-        atd = self.atds[core]
         counters.llc_accesses += 1
-        # Sampled-set membership is one precomputed table lookup (built from
-        # the stride test in AuxiliaryTagDirectory.__init__): -1 = unsampled.
-        slot = self._atd_slot_by_set[set_index]
-        if slot >= 0:
-            atd_hit = atd.access_sampled(atd._stacks[slot], tag)
+        # The front end already updated the ATD stack; count the outcome.
+        if code > UNSAMPLED:
+            atd_hit = self.atds[core].record(code - ATD_HIT)
             counters.sampled_llc_accesses += 1
         else:
             atd_hit = None
 
-        # LLC lookup, inlined (same flat-array kernel as the private levels;
-        # partition-aware fills go through the shared SetAssociativeCache
-        # machinery).
+        # LLC lookup, inlined (the flat-array kernel of
+        # SetAssociativeCache.access_hit; partition-aware fills go through
+        # the shared SetAssociativeCache machinery).
         (llc_tags, llc_last_use, llc_sizes, llc_owners, llc_occupancy,
          llc_assoc) = self._llc_state
         counter = llc._use_counter + 1
@@ -554,11 +438,15 @@ class MemoryHierarchy:
         )
         return completion, interference, llc_hit, interference_miss
 
-    def _fill_lower_levels(self, core: int, address: int, is_store: bool) -> None:
-        """Install a line in L2 and the LLC without modelling its timing."""
-        self.l2[core].access_hit(address, core, is_store)
-        self.atds[core].access(address)
-        self.llc.access_hit(address, core, is_store)
+    def credit_front_end(self, core: int, front_end: FrontEnd) -> None:
+        """Add a finished run's private-cache hits and misses, which the
+        front end counted, to this core's L1 and L2 statistics."""
+        l1 = self.l1[core]
+        l1.hits += front_end.l1_hits
+        l1.misses += front_end.l1_misses
+        l2 = self.l2[core]
+        l2.hits += front_end.l2_hits
+        l2.misses += front_end.l2_misses
 
     # ------------------------------------------------------------------ interval management
 

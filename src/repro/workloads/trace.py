@@ -85,6 +85,7 @@ def _trace_from_packed(name: str, kinds: bytes, addresses: bytes, deps: bytes) -
     trace.deps = dep_column
     trace.name = name
     trace._hot = None
+    trace._memo = None
     return trace
 
 
@@ -120,6 +121,7 @@ class Trace:
         if not (len(self.kinds) == len(self.addresses) == len(self.deps)):
             raise TraceError("trace arrays must have identical lengths")
         self._hot: tuple[bytes, list[int], list[int]] | None = None
+        self._memo: dict | None = None
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -148,6 +150,22 @@ class Trace:
             hot = (self.kinds.tobytes(), self.addresses.tolist(), self.deps.tolist())
             self._hot = hot
         return hot
+
+    def memo(self, key, build):
+        """Return ``build()``, computed once per key and kept on this trace.
+
+        For data derived purely from the instructions, such as the memory
+        path's front end (:mod:`repro.mem.frontend`).  Like :meth:`hot`, the
+        memo lives for the trace's lifetime in this process and is never
+        pickled: pickling sends the packed columns only.
+        """
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = build()
+        return value
 
     def packed(self) -> PackedTrace:
         """Return the frozen wire form of this trace."""

@@ -15,8 +15,8 @@ class _ReferenceATD:
     """The seed's sampled-set membership machinery (set + dict lookups).
 
     Kept as an executable specification: the stride shift/mask test in
-    AuxiliaryTagDirectory (and its inlined copy in repro.mem.hierarchy) must
-    be behaviourally identical to this implementation.
+    AuxiliaryTagDirectory must be behaviourally identical to this
+    implementation.
     """
 
     def __init__(self, llc_config: CacheConfig, sampled_sets: int = 32):
@@ -212,3 +212,26 @@ class TestStrideEquivalence:
         for set_index in range(atd.num_llc_sets):
             address = set_index * atd.line_bytes
             assert atd.samples(address) == (set_index in atd._sampled_indices)
+
+
+def test_lookup_moves_stacks_and_record_counts():
+    """access() is lookup() (stack only) followed by record() (statistics
+    only); the memory path's front end and back end call them separately."""
+    split, whole = make_atd(sampled_sets=8, sets=64), make_atd(sampled_sets=8, sets=64)
+    rng = random.Random(3)
+    for _ in range(3_000):
+        address = rng.randrange(0, 64 * 64 * 4 * 4)
+        position = split.lookup(address)
+        outcome = whole.access(address)
+        if position is None:
+            assert outcome is None
+        else:
+            assert outcome == (position >= 0)
+            assert split.record(position) == outcome
+    assert (split.sampled_accesses, split.sampled_misses) == (
+        whole.sampled_accesses, whole.sampled_misses)
+    assert split.hit_position_histogram == whole.hit_position_histogram
+    assert split._stacks == whole._stacks
+    before = list(split._stacks[0])
+    split.record(-1)
+    assert split._stacks[0] == before and split.sampled_misses == whole.sampled_misses + 1
