@@ -15,6 +15,8 @@ Qureshi et al.) samples a subset of sets and assumes they are representative.
 
 from __future__ import annotations
 
+import copy
+
 from repro.cache.miss_curve import MissCurve
 from repro.errors import ConfigurationError
 from repro.config import CacheConfig
@@ -63,6 +65,13 @@ class AuxiliaryTagDirectory:
         self.hit_position_histogram = [0.0] * self.associativity
         self.sampled_misses = 0.0
         self.sampled_accesses = 0.0
+
+    def fork(self) -> "AuxiliaryTagDirectory":
+        """An independent copy of the stacks and statistics (for a forked run)."""
+        clone = copy.copy(self)
+        clone._stacks = [stack[:] for stack in self._stacks]
+        clone.hit_position_histogram = self.hit_position_histogram[:]
+        return clone
 
     # ------------------------------------------------------------------ geometry
 

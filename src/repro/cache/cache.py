@@ -18,6 +18,7 @@ and evictions overwrite the victim in place, so slots never fragment.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -108,6 +109,20 @@ class SetAssociativeCache:
         # demand); exposed as dicts through the properties below.
         self._hits_by_core: list[int] = []
         self._misses_by_core: list[int] = []
+
+    def fork(self) -> "SetAssociativeCache":
+        """An independent copy of the contents and statistics (for a forked run)."""
+        clone = copy.copy(self)
+        clone._tags = self._tags[:]
+        clone._owners = self._owners[:]
+        clone._last_use = self._last_use[:]
+        clone._dirty = self._dirty[:]
+        clone._set_sizes = self._set_sizes[:]
+        clone._core_occupancy = self._core_occupancy[:]
+        clone._allocation = self.partition
+        clone._hits_by_core = self._hits_by_core[:]
+        clone._misses_by_core = self._misses_by_core[:]
+        return clone
 
     # ------------------------------------------------------------------ geometry
 

@@ -8,6 +8,7 @@ paper's core model and the "other stalls" category depend on.
 
 from __future__ import annotations
 
+import copy
 import heapq
 
 from repro.errors import SimulationError
@@ -26,6 +27,12 @@ class MSHRFile:
 
     def __len__(self) -> int:
         return len(self._outstanding)
+
+    def fork(self) -> "MSHRFile":
+        """An independent copy of the outstanding misses (for a forked run)."""
+        clone = copy.copy(self)
+        clone._outstanding = self._outstanding[:]
+        return clone
 
     def release_completed(self, now: float) -> int:
         """Retire every outstanding miss that has completed by ``now``."""

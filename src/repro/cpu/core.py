@@ -29,6 +29,8 @@ hook boundary, or completion).  :meth:`step` is a one-instruction batch.
 
 from __future__ import annotations
 
+import copy
+
 from repro.cpu.events import CommitStall, IntervalStats, LoadRecord, StallCause, annotate_overlap
 from repro.errors import SimulationError
 from repro.mem.frontend import L1_HIT, front_end
@@ -136,6 +138,20 @@ class OutOfOrderCore:
     def step(self) -> None:
         """Process one instruction."""
         self.step_until(max_instructions=1)
+
+    def fork(self, hierarchy: MemoryHierarchy) -> "OutOfOrderCore":
+        """A copy of this core, mid-run, issuing into ``hierarchy`` (a fork of
+        this core's own).  The trace, its front end and the closed intervals
+        are shared, since nothing writes them again; the open interval is
+        copied with its records, which the interval's close still annotates."""
+        clone = copy.copy(self)
+        clone.hierarchy = hierarchy
+        clone._commit_window = self._commit_window[:]
+        clone._dep_ring_position = self._dep_ring_position[:]
+        clone._dep_ring_completion = self._dep_ring_completion[:]
+        clone.intervals = self.intervals[:]
+        clone._interval = self._interval.fork()
+        return clone
 
     # ------------------------------------------------------------------ simulation kernel
 

@@ -10,6 +10,7 @@ layer (GDP/GDP-O and the baselines).
 from __future__ import annotations
 
 import bisect
+import copy
 from dataclasses import dataclass, field, replace
 
 __all__ = [
@@ -135,6 +136,29 @@ class IntervalStats:
     def copy_without_events(self) -> "IntervalStats":
         """Lightweight copy used when event lists are no longer needed."""
         return replace(self, loads=[], stalls=[])
+
+    def fork(self) -> "IntervalStats":
+        """An independent copy of a still-open interval (for a forked run).
+
+        Load records are rebuilt field by field: the interval's close writes
+        their overlap, and a load's stall fields are written only by the step
+        that records it.  Commit stalls are never written after they are
+        recorded, so they are shared.
+        """
+        clone = copy.copy(self)
+        clone.loads = [
+            LoadRecord(load.instr_index, load.address, load.issue_time,
+                       load.completion_time, load.is_sms, load.latency,
+                       load.interference_cycles, load.llc_hit, load.interference_miss,
+                       load.caused_stall, load.stall_start, load.stall_end,
+                       load.overlap_cycles)
+            for load in self.loads
+        ]
+        clone.stalls = self.stalls[:]
+        clone.epoch_instructions = dict(self.epoch_instructions)
+        clone.epoch_stall_cycles = dict(self.epoch_stall_cycles)
+        clone.epoch_sms_accesses = dict(self.epoch_sms_accesses)
+        return clone
 
 
 def annotate_overlap(loads: list[LoadRecord], stalls: list[CommitStall]) -> None:

@@ -21,6 +21,7 @@ paper's evaluation and are modelled explicitly:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from repro.dram.bank import DRAMBank
@@ -64,6 +65,15 @@ class _Channel:
     # Indexed by core id, grown on demand (None until a core's first access).
     shadows: list[_ShadowChannel | None] = field(default_factory=list)
 
+    def fork(self) -> "_Channel":
+        return _Channel(
+            [copy.copy(bank) for bank in self.banks],
+            self.bus_next_free,
+            [None if shadow is None else _ShadowChannel(
+                [copy.copy(bank) for bank in shadow.banks], shadow.bus_next_free)
+             for shadow in self.shadows],
+        )
+
 
 class MemoryController:
     """A multi-channel memory controller with open-page banks and priority support."""
@@ -93,6 +103,16 @@ class MemoryController:
         self._n_channels = config.channels
         self._n_banks = config.banks_per_channel
         self._page_bytes = config.page_bytes
+
+    def fork(self) -> "MemoryController":
+        """An independent copy of the bank, bus and shadow schedules and the
+        statistics (for a forked run)."""
+        clone = copy.copy(self)
+        clone._channels = [channel.fork() for channel in self._channels]
+        clone.per_core_reads = self.per_core_reads[:]
+        clone.per_core_queue_cycles = self.per_core_queue_cycles[:]
+        clone.per_core_interference_cycles = self.per_core_interference_cycles[:]
+        return clone
 
     # ------------------------------------------------------------------ address mapping
 

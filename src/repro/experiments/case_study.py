@@ -1,9 +1,13 @@
 """Shared-cache management case study (behind Figure 6).
 
-For every workload the engine runs one shared-mode simulation per partitioning
-policy (LRU, UCP, ASM-driven, MCP, MCP-O) plus one private-mode run per
+For every workload the engine simulates each partitioning policy (LRU, UCP,
+ASM-driven, MCP, MCP-O) in shared mode, plus one private-mode run per
 benchmark, and reports System Throughput: the sum over cores of the true
 private-mode CPI divided by the shared-mode CPI achieved under that policy.
+The policies whose ``install`` adds only the repartitioning hook share one
+shared-mode run that forks where their allocations part
+(:class:`~repro.partitioning.base.SharedPolicyRun`); ASM-driven partitioning,
+which also rotates the memory-controller priority, runs on its own.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.metrics.errors import mean
-from repro.partitioning import PartitioningPolicy
+from repro.partitioning import PartitioningPolicy, SharedPolicyRun, shares_runs
 from repro.config import CMPConfig
 from repro.registry import partitioning_policies
 from repro.sim.runner import build_trace, run_private_mode, run_shared_mode
@@ -83,16 +87,27 @@ def evaluate_workload_throughput(
         )
         result.private_cpis[core] = private.cpi
 
-    for name in policies:
-        policy = build_policy(name, config, repartition_interval_cycles)
-        shared = run_shared_mode(
+    built = {name: build_policy(name, config, repartition_interval_cycles) for name in policies}
+
+    def run(configure_system, record_events):
+        return run_shared_mode(
             traces,
             config,
             target_instructions=instructions_per_core,
             interval_instructions=interval_instructions,
-            configure_system=policy.install,
-            record_events=policy.needs_events,
+            configure_system=configure_system,
+            record_events=record_events,
         )
+
+    outcomes = {}
+    sharing = [policy for policy in built.values() if shares_runs(policy)]
+    if sharing:
+        shared_run = SharedPolicyRun(sharing)
+        outcomes = shared_run.results(run(shared_run.install, shared_run.needs_events))
+    for name, policy in built.items():
+        shared = outcomes.get(policy)
+        if shared is None:
+            shared = run(policy.install, policy.needs_events)
         shared_cpis = {core: shared.cores[core].cpi for core in traces}
         result.shared_cpis[name] = shared_cpis
         stp = 0.0

@@ -9,6 +9,7 @@ which DIEF's interconnect counters rely on.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from repro.config import RingConfig
@@ -76,6 +77,17 @@ class RingInterconnect:
             [hops * config.hop_latency for hops in row] for row in self._hop_table
         ]
         self._occupancy = config.link_occupancy * config.hop_latency
+
+    def fork(self) -> "RingInterconnect":
+        """An independent copy of the link schedules and statistics (for a
+        forked run); the topology tables are shared."""
+        clone = copy.copy(self)
+        clone._request_links = [_RingLink(link.next_free, link.shadow_next_free[:])
+                                for link in self._request_links]
+        clone._response_links = [_RingLink(link.next_free, link.shadow_next_free[:])
+                                 for link in self._response_links]
+        clone.per_core_interference_cycles = self.per_core_interference_cycles[:]
+        return clone
 
     def hop_count(self, core: int, bank: int) -> int:
         """Hops between a core and an LLC bank on the ring.

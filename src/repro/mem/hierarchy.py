@@ -17,6 +17,7 @@ calls the back end (:meth:`~MemoryHierarchy.load_miss`,
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from heapq import heappop as _heappop, heappush as _heappush
 
@@ -129,6 +130,10 @@ class MemoryHierarchy:
         # identical to the real schedules, so interference is exactly zero
         # and the shadow emulation can be skipped wholesale.
         self._multi_core = len(self.active_cores) > 1
+        self._last_shared_access = (0.0, 0.0, False)
+        self._bind_hot_state()
+
+    def _bind_hot_state(self) -> None:
         # LLC flat arrays for the inlined lookup on the SMS path (flush()
         # clears these in place, so the references stay valid).
         self._llc_state = (
@@ -139,11 +144,25 @@ class MemoryHierarchy:
             self.llc._core_occupancy,
             self.llc.associativity,
         )
-        self._last_shared_access = (0.0, 0.0, False)
         # Per-core back-end state bundled so load_miss pays one dict lookup.
         self._miss_state = {
             core: (self.l1_mshrs[core], self.counters[core]) for core in self.active_cores
         }
+
+    def fork(self) -> "MemoryHierarchy":
+        """An independent copy of every cache, MSHR file, ATD, the ring, the
+        memory controller and the counters (for a forked run)."""
+        clone = copy.copy(self)
+        clone.l1 = {core: cache.fork() for core, cache in self.l1.items()}
+        clone.l2 = {core: cache.fork() for core, cache in self.l2.items()}
+        clone.l1_mshrs = {core: mshrs.fork() for core, mshrs in self.l1_mshrs.items()}
+        clone.llc = self.llc.fork()
+        clone.ring = self.ring.fork()
+        clone.dram = self.dram.fork()
+        clone.atds = {core: atd.fork() for core, atd in self.atds.items()}
+        clone.counters = {core: copy.copy(counters) for core, counters in self.counters.items()}
+        clone._bind_hot_state()
+        return clone
 
     # ------------------------------------------------------------------ configuration
 

@@ -344,8 +344,9 @@ def _accuracy_cell_cost(args: tuple) -> float:
 
 
 def _throughput_cell_cost(args: tuple) -> float:
-    """Relative cost of one case-study cell: one shared run per policy plus
-    one private run per core, all proportional to the instruction count."""
+    """Relative cost of one case-study cell: at most one shared run per
+    policy plus one private run per core, all proportional to the
+    instruction count."""
     workload, _config, policies, instructions_per_core = args[0], args[1], args[2], args[3]
     return float(len(workload.benchmarks) * (len(policies) + 1) * instructions_per_core)
 

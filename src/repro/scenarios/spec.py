@@ -259,6 +259,13 @@ class ScenarioSpec:
             registry.accounting_techniques.get(technique)
         for policy in self.policies:
             registry.partitioning_policies.get(policy)
+        for label, noun, names in (("techniques", "technique", self.techniques),
+                                   ("policies", "policy", self.policies)):
+            if len(set(names)) != len(names):
+                raise ConfigurationError(
+                    f"{label} lists a {noun} twice — the duplicate would silently "
+                    "repeat its simulation work for a single table column"
+                )
         if self.kind == "accuracy" and not self.techniques:
             raise ConfigurationError("an accuracy scenario needs at least one technique")
         if self.kind == "throughput" and not self.policies:

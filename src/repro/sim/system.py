@@ -16,10 +16,18 @@ of the others between scheduling decisions; ``batch_cycles=0`` reproduces the
 historical one-instruction-per-heap-pop interleaving exactly.  The default is
 ``DEFAULT_BATCH_CYCLES`` and can be overridden with the ``REPRO_BATCH_CYCLES``
 environment variable.
+
+The scheduler's state -- the event heap, the global time and every hook's next
+firing -- lives on the system, so :meth:`CMPSystem.run` resumes wherever the
+system stands.  :meth:`CMPSystem.fork` copies a system mid-run (typically
+inside a hook, which is how the partitioning policies share one run until
+their allocations differ); the copy's ``run()`` continues from that point as
+the original would.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 import os
 from collections.abc import Callable
@@ -161,6 +169,9 @@ class CMPSystem:
         # loop over all hooks per instruction.
         self._next_hook_fire = _INFINITY
         self.global_time = 0.0
+        # Co-simulation event heap of (next event time, core id), built by the
+        # first multi-core run() and kept here so a fork resumes from it.
+        self._heap: list[tuple[float, int]] | None = None
 
     # ------------------------------------------------------------------ hooks
 
@@ -176,13 +187,35 @@ class CMPSystem:
     def _fire_hooks(self, now: float) -> None:
         for hook in self._hooks:
             while now >= hook.next_fire:
-                hook.callback(hook.next_fire, self)
-                hook.next_fire += hook.period_cycles
+                fire_time = hook.next_fire
+                # Advanced before the callback, so a fork taken inside it
+                # resumes after this firing.
+                hook.next_fire = fire_time + hook.period_cycles
+                hook.callback(fire_time, self)
         self._next_hook_fire = min(
             (hook.next_fire for hook in self._hooks), default=_INFINITY
         )
 
     # ------------------------------------------------------------------ simulation
+
+    def fork(self) -> "CMPSystem":
+        """A copy of this system, mid-run, that continues on its own.
+
+        Taken inside a hook callback, the copy's :meth:`run` resumes right
+        after that callback, exactly as this system will: finishing both gives
+        each the result of an uninterrupted run.  What no run writes again is
+        shared -- the configuration, the traces and their front ends, and the
+        cores' closed estimate intervals; the cores, the memory hierarchy, the
+        hooks (their callbacks shared) and the event heap are copied.
+        """
+        clone = copy.copy(self)
+        clone.hierarchy = self.hierarchy.fork()
+        clone.cores = {core_id: core.fork(clone.hierarchy)
+                       for core_id, core in self.cores.items()}
+        clone._hooks = [copy.copy(hook) for hook in self._hooks]
+        if self._heap is not None:
+            clone._heap = self._heap[:]
+        return clone
 
     def run(self) -> SystemResult:
         """Run until every core has committed its target instruction count.
@@ -193,7 +226,12 @@ class CMPSystem:
         remaining cores continue until they reach the target, so late
         finishers still experience interference from nothing but the still-
         running cores, mirroring the paper's stop condition.
+
+        The run resumes from the system's current state, so a fork taken
+        inside a hook first fires the rest of the hooks due at that time.
         """
+        if self.global_time >= self._next_hook_fire:
+            self._fire_hooks(self.global_time)
         cores = self.cores
         if len(cores) == 1:
             # Private mode: no co-simulation ordering to maintain, so the
@@ -210,10 +248,12 @@ class CMPSystem:
             return self._collect_results()
 
         slack = self.batch_cycles
-        heap: list[tuple[float, int]] = [
-            (core.next_event_time(), core_id) for core_id, core in cores.items()
-        ]
-        heapq.heapify(heap)
+        heap = self._heap
+        if heap is None:
+            heap = self._heap = [
+                (core.next_event_time(), core_id) for core_id, core in cores.items()
+            ]
+            heapq.heapify(heap)
         heappop = heapq.heappop
         heappush = heapq.heappush
         while heap:
@@ -226,10 +266,12 @@ class CMPSystem:
             now = core.current_time
             if now > self.global_time:
                 self.global_time = now
-            if self.global_time >= self._next_hook_fire:
-                self._fire_hooks(self.global_time)
+            # Back on the heap before any hook fires, so the heap is complete
+            # when a hook forks the system.
             if not core.finished:
                 heappush(heap, (core.next_event_time(), core_id))
+            if self.global_time >= self._next_hook_fire:
+                self._fire_hooks(self.global_time)
         return self._collect_results()
 
     def _collect_results(self) -> SystemResult:

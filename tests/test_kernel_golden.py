@@ -11,6 +11,14 @@ ring transfers).  The digests live in ``golden/kernel_golden.json`` next to a
 readable summary of the same counters, so a mismatch shows which layer
 moved.
 
+The same file pins two whole Figure 6 case-study cells: every STP, private
+CPI and shared CPI that ``evaluate_workload_throughput`` returns for all five
+partitioning policies, at the default co-simulation slack and at exact
+interleaving.  In the first cell LRU parts from UCP, MCP and MCP-O at the
+first repartition and those three agree to the end; in the second, LRU, UCP,
+MCP and MCP-O all choose differently, so each ends on an allocation history
+of its own.
+
 A change that is meant to alter simulated results regenerates the file::
 
     PYTHONPATH=src python tests/test_kernel_golden.py --write
@@ -21,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -28,10 +37,11 @@ import pytest
 
 from repro.baselines.asm import install_asm_rotation
 from repro.core.cpl import estimate_interval_cpl
-from repro.experiments.case_study import build_policy
+from repro.experiments.case_study import build_policy, evaluate_workload_throughput
 from repro.experiments.common import default_experiment_config
 from repro.sim.runner import build_trace
 from repro.sim.system import DEFAULT_BATCH_CYCLES, CMPSystem
+from repro.workloads.mixes import Workload
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "kernel_golden.json"
 
@@ -96,6 +106,34 @@ RUNS = {
     "mcp_4core": _policy("MCP"),
     "exact_interleaving": _exact_interleaving,
 }
+
+
+# name -> (benchmarks, instructions per core, interval, repartition cycles, seed)
+_CELLS = {
+    "cell_2core": (("twolf_like", "art_like"), 4_000, 1_000, 4_000.0, 3),
+    "cell_4core": (("parser_like", "lbm_like", "libquantum_like", "astar_like"),
+                   12_000, 2_000, 6_000.0, 11),
+}
+# ``evaluate_workload_throughput`` reads REPRO_BATCH_CYCLES, so each cell is
+# pinned with the variable set to each slack.
+_CELL_SLACKS = ("1024", "0")
+CELL_PINS = {f"{cell}_slack{slack}": (cell, slack) for cell in _CELLS for slack in _CELL_SLACKS}
+
+
+def cell_outcome(cell: str) -> dict:
+    """Every STP and CPI of one case-study cell (floats via ``float.hex``),
+    at whatever ``REPRO_BATCH_CYCLES`` the caller set."""
+    benchmarks, instructions, interval, repartition, seed = _CELLS[cell]
+    result = evaluate_workload_throughput(
+        Workload(cell, benchmarks, "H"), default_experiment_config(len(benchmarks)),
+        instructions_per_core=instructions, interval_instructions=interval,
+        repartition_interval_cycles=repartition, seed=seed)
+    return {
+        "stp": {name: value.hex() for name, value in result.stp.items()},
+        "private_cpis": {str(core): cpi.hex() for core, cpi in result.private_cpis.items()},
+        "shared_cpis": {name: {str(core): cpi.hex() for core, cpi in cpis.items()}
+                        for name, cpis in result.shared_cpis.items()},
+    }
 
 
 def _canonical(value):
@@ -171,8 +209,15 @@ def test_kernel_output_matches_golden(name):
     assert actual["digest"] == expected["digest"]
 
 
+@pytest.mark.parametrize("pin", sorted(CELL_PINS))
+def test_case_study_cell_matches_golden(pin, monkeypatch):
+    cell, slack = CELL_PINS[pin]
+    monkeypatch.setenv("REPRO_BATCH_CYCLES", slack)
+    assert cell_outcome(cell) == _golden()[pin]
+
+
 def test_golden_file_covers_every_run():
-    assert sorted(_golden()) == sorted(RUNS)
+    assert sorted(_golden()) == sorted([*RUNS, *CELL_PINS])
 
 
 if __name__ == "__main__":
@@ -180,7 +225,11 @@ if __name__ == "__main__":
         sys.exit("usage: PYTHONPATH=src python tests/test_kernel_golden.py --write")
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     # One run per line keeps a regenerated file's diff readable.
-    lines = [f"{json.dumps(name)}: {json.dumps(summarise(build()), sort_keys=True)}"
-             for name, build in sorted(RUNS.items())]
+    pins = {name: summarise(build()) for name, build in RUNS.items()}
+    for pin, (cell, slack) in CELL_PINS.items():
+        os.environ["REPRO_BATCH_CYCLES"] = slack
+        pins[pin] = cell_outcome(cell)
+    lines = [f"{json.dumps(name)}: {json.dumps(pin, sort_keys=True)}"
+             for name, pin in sorted(pins.items())]
     GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
     print(f"wrote {GOLDEN_PATH}")

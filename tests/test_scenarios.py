@@ -167,6 +167,18 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="lists a core count twice"):
             tiny_spec(machine=MachineSpec(core_counts=(4, 4))).validate()
 
+    def test_duplicate_policies_and_techniques_rejected(self):
+        with pytest.raises(ConfigurationError, match="policies lists a policy twice"):
+            tiny_spec(kind="throughput", policies=("LRU", "MCP", "LRU")).validate()
+        with pytest.raises(ConfigurationError, match="techniques lists a technique twice"):
+            tiny_spec(techniques=("GDP", "GDP")).validate()
+        # Checked whatever the kind, like the names themselves.
+        with pytest.raises(ConfigurationError, match="policies lists a policy twice"):
+            tiny_spec(policies=("UCP", "UCP")).validate()
+        with pytest.raises(ConfigurationError, match="policies lists a policy twice"):
+            ScenarioSpec.from_dict({**tiny_spec().to_dict(), "kind": "throughput",
+                                    "policies": ["LRU", "LRU"]})
+
     def test_single_arg_config_factory_with_llc_override_fails_cleanly(self):
         spec = tiny_spec(machine=MachineSpec(core_counts=(2,), llc_kilobytes=64))
         with pytest.raises(ConfigurationError, match="llc_kilobytes requires"):
